@@ -99,9 +99,10 @@ USAGE:
                     [--queue-cap 4096] [--admission-timeout-ms 1000]
                     [--max-inflight 2] [--inference-threads 1]
                     [--executor eager|compiled]
+                    [--report bench_results/serve_load.json]
       Drive the in-process server with synthetic load and write latency
       percentiles + throughput + overload outcomes (shed / deadline /
-      failed / lost) to bench_results/serve_load.json. Fails if any
+      failed / lost) to the --report JSON file. Fails if any
       accepted request was lost, or fewer than --min-sheds submissions
       were shed (saturation smoke tests assert sheds happen).
       `demo` and `finetune` accept --save-bundle <path> to produce the
@@ -498,7 +499,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
 }
 
 /// `loadgen`: drive the in-process server with synthetic load and write
-/// `bench_results/serve_load.json`.
+/// the report to `--report` (default: the repository's
+/// `bench_results/serve_load.json`).
 pub fn loadgen(args: &Args) -> Result<(), String> {
     let policy = batch_policy(args)?;
     let cfg = LoadgenConfig {
@@ -507,6 +509,12 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
         deadline_ms: args.parse_opt("deadline-ms")?,
     };
     let min_sheds = args.parse_or("min-sheds", 0u64)?;
+    let report_path = match args.get("report") {
+        Some(p) => PathBuf::from(p),
+        None => {
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/serve_load.json")
+        }
+    };
     if cfg.requests == 0 || cfg.clients == 0 {
         return Err("--requests and --clients must be >= 1".to_string());
     }
@@ -528,7 +536,8 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
     );
     let report = run_loadgen(&server, &pool, &cfg);
     server.shutdown();
-    let path = write_report(&report);
+    write_report(&report, &report_path)
+        .map_err(|e| format!("writing {}: {e}", report_path.display()))?;
     println!(
         "completed {}/{} (shed {}, deadline {}, failed {}, errors {}, lost {}) \
          in {:.2}s — {:.0} req/s, mean batch {:.1}",
@@ -552,7 +561,7 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
         report.queue_p50_us,
         report.queue_p99_us
     );
-    println!("report written to {}", path.display());
+    println!("report written to {}", report_path.display());
     // Shed and expired requests are legitimate overload outcomes; a lost
     // request — accepted but never answered — is a drain-contract bug.
     if report.lost > 0 {
@@ -893,6 +902,8 @@ mod tests {
             ("save-bundle", bundle.to_str().unwrap()),
         ]))
         .unwrap();
+        let report = std::env::temp_dir().join("aimts_cli_saturation_load.json");
+        let _ = fs::remove_file(&report);
         // Try-admit semantics (zero admission timeout) against a tiny
         // queue: sheds must happen, accepted requests must all answer.
         loadgen(&args(&[
@@ -904,8 +915,11 @@ mod tests {
             ("queue-cap", "2"),
             ("admission-timeout-ms", "0"),
             ("min-sheds", "1"),
+            ("report", report.to_str().unwrap()),
         ]))
         .unwrap();
+        let json = fs::read_to_string(&report).unwrap();
+        assert!(json.contains("\"requests\": 400"), "{json}");
     }
 
     #[test]
@@ -924,14 +938,30 @@ mod tests {
 
         // Drive the served model with a small load; every request must
         // complete (loadgen errors otherwise).
+        let report = std::env::temp_dir().join("aimts_cli_roundtrip_load.json");
+        let _ = fs::remove_file(&report);
         loadgen(&args(&[
             ("model", bundle.to_str().unwrap()),
             ("dataset", "ecg200"),
             ("requests", "64"),
             ("clients", "2"),
             ("max-batch", "8"),
+            ("report", report.to_str().unwrap()),
         ]))
         .unwrap();
+        let json = fs::read_to_string(&report).unwrap();
+        assert!(json.contains("\"completed\": 64"), "{json}");
+
+        // A report path that cannot be written is an error, not a panic.
+        let unwritable = bundle.join("load.json");
+        let err = loadgen(&args(&[
+            ("model", bundle.to_str().unwrap()),
+            ("requests", "4"),
+            ("clients", "1"),
+            ("report", unwritable.to_str().unwrap()),
+        ]))
+        .unwrap_err();
+        assert!(err.starts_with("writing "), "{err}");
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   plus the graceful drain contract.
 //! - [`metrics`]: latency percentiles per outcome, throughput, queue
 //!   depth, shed/deadline/breaker counters.
-//! - [`loadgen`]: a synthetic multi-client load generator recording
-//!   `bench_results/serve_load.json`, overload outcomes included.
+//! - [`loadgen`]: a synthetic multi-client load generator writing a JSON
+//!   report (the CLI's default is `bench_results/serve_load.json`),
+//!   overload outcomes included.
 //! - [`net`]: a hardened JSON-lines TCP frontend (read/write timeouts,
 //!   max frame size, typed error replies).
 //!

@@ -1,6 +1,6 @@
 //! Synthetic load generator: many client threads, 10⁴–10⁶ queued
-//! requests, per-outcome accounting, a JSON report under
-//! `bench_results/`.
+//! requests, per-outcome accounting, a JSON report written wherever the
+//! caller asks.
 //!
 //! The generator distinguishes every overload outcome so saturation runs
 //! are measurable: `completed` (answered with a class), `shed`
@@ -10,7 +10,7 @@
 //! under any schedule, including saturation and shutdown races; the CLI
 //! and the chaos suite both fail a run with `lost > 0`.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -190,13 +190,12 @@ pub fn run_loadgen(server: &Server, pool: &[MultiSeries], cfg: &LoadgenConfig) -
     }
 }
 
-/// Write `report` to `bench_results/serve_load.json` (pretty JSON, same
-/// location convention as the bench harness) and return the path.
-pub fn write_report(report: &LoadReport) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("serve_load.json");
-    let json = serde_json::to_string_pretty(report).expect("serialize load report");
-    std::fs::write(&path, json).expect("write serve_load.json");
-    path
+/// Write `report` to `path` as pretty JSON, creating missing parent
+/// directories.
+pub fn write_report(report: &LoadReport, path: &Path) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let json = serde_json::to_string_pretty(report).map_err(std::io::Error::other)?;
+    std::fs::write(path, json)
 }

@@ -19,8 +19,6 @@
 //! next element is processed, so peak extra memory is one column matrix
 //! regardless of batch size.
 
-use rayon::prelude::*;
-
 use crate::arena;
 use crate::ops::matmul::{mm_acc, transpose2d};
 use crate::plan;
@@ -330,7 +328,7 @@ fn conv1d_forward_direct(
 ) -> Vec<f32> {
     let (cin, l, cout, k, lo) = (d.cin, d.l, d.cout, d.k, d.lo);
     let mut out = arena::zeroed(d.b * cout * lo);
-    out.par_chunks_mut(cout * lo)
+    out.chunks_mut(cout * lo)
         .enumerate()
         .for_each(|(bi, ochunk)| {
             let xb = &x[bi * cin * l..(bi + 1) * cin * l];
@@ -368,7 +366,7 @@ fn conv1d_forward_im2col(
 ) -> Vec<f32> {
     let (cin, l, cout, k, lo) = (d.cin, d.l, d.cout, d.k, d.lo);
     let mut out = arena::zeroed(d.b * cout * lo);
-    out.par_chunks_mut(cout * lo)
+    out.chunks_mut(cout * lo)
         .enumerate()
         .for_each(|(bi, ochunk)| {
             if let Some(bv) = bias {
@@ -395,8 +393,8 @@ fn conv1d_forward_im2col(
     out
 }
 
-/// Backward kernels. `gw`/`gb` accumulation over the batch is serial (the
-/// buffers are shared); `gx` is parallel over the batch (disjoint slices).
+/// Backward kernels. `gw`/`gb` accumulate over the batch into shared
+/// buffers; `gx` is written one batch element at a time (disjoint slices).
 #[allow(clippy::too_many_arguments)]
 fn conv1d_backward_direct(
     x: &[f32],
@@ -409,31 +407,29 @@ fn conv1d_backward_direct(
     gb: &mut [f32],
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
-    gx.par_chunks_mut(cin * l)
-        .enumerate()
-        .for_each(|(bi, gxb)| {
-            let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-            for co in 0..cout {
-                let gor = &gob[co * lo..(co + 1) * lo];
-                for ci in 0..cin {
-                    let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
-                    let gxr = &mut gxb[ci * l..(ci + 1) * l];
-                    for (o, &g) in gor.iter().enumerate() {
-                        // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let base = o * spec.stride;
-                        for (kk, &wv) in wr.iter().enumerate() {
-                            let pos = base + kk * spec.dilation;
-                            if pos >= spec.padding && pos - spec.padding < l {
-                                gxr[pos - spec.padding] += g * wv;
-                            }
+    gx.chunks_mut(cin * l).enumerate().for_each(|(bi, gxb)| {
+        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
+        for co in 0..cout {
+            let gor = &gob[co * lo..(co + 1) * lo];
+            for ci in 0..cin {
+                let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
+                let gxr = &mut gxb[ci * l..(ci + 1) * l];
+                for (o, &g) in gor.iter().enumerate() {
+                    // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let base = o * spec.stride;
+                    for (kk, &wv) in wr.iter().enumerate() {
+                        let pos = base + kk * spec.dilation;
+                        if pos >= spec.padding && pos - spec.padding < l {
+                            gxr[pos - spec.padding] += g * wv;
                         }
                     }
                 }
             }
-        });
+        }
+    });
     for bi in 0..b {
         let xb = &x[bi * cin * l..(bi + 1) * cin * l];
         let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
@@ -474,17 +470,15 @@ fn conv1d_backward_im2col(
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
     // grad input: gcol = W^T [C_in·K, C_out] · gout_b [C_out, L_out],
-    // then fold columns back with col2im. Parallel over the batch.
+    // then fold columns back with col2im, one batch element at a time.
     let wt = transpose2d(w, cout, cin * k);
-    gx.par_chunks_mut(cin * l)
-        .enumerate()
-        .for_each(|(bi, gxb)| {
-            let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-            let mut gcol = arena::zeroed(cin * k * lo);
-            mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
-            col2im1d(&gcol, gxb, cin, l, k, lo, spec);
-            arena::recycle(gcol);
-        });
+    gx.chunks_mut(cin * l).enumerate().for_each(|(bi, gxb)| {
+        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
+        let mut gcol = arena::zeroed(cin * k * lo);
+        mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
+        col2im1d(&gcol, gxb, cin, l, k, lo, spec);
+        arena::recycle(gcol);
+    });
     // grad weight: gw += gout_b [C_out, L_out] · col_b^T [L_out, C_in·K].
     let mut col = arena::zeroed(cin * k * lo);
     for bi in 0..b {
@@ -532,7 +526,7 @@ fn conv2d_forward_direct(
 ) -> Vec<f32> {
     let (cin, h, w_, cout, kh, kw, ho, wo) = (d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let mut out = arena::zeroed(d.b * cout * ho * wo);
-    out.par_chunks_mut(cout * ho * wo)
+    out.chunks_mut(cout * ho * wo)
         .enumerate()
         .for_each(|(bi, ochunk)| {
             let xb = &x[bi * cin * h * w_..(bi + 1) * cin * h * w_];
@@ -580,7 +574,7 @@ fn conv2d_forward_im2col(
     let (cin, h, w_, cout, kh, kw, ho, wo) = (d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let cols = ho * wo;
     let mut out = arena::zeroed(d.b * cout * cols);
-    out.par_chunks_mut(cout * cols)
+    out.chunks_mut(cout * cols)
         .enumerate()
         .for_each(|(bi, ochunk)| {
             if let Some(bv) = bias {
@@ -622,7 +616,7 @@ fn conv2d_backward_direct(
 ) {
     let (b, cin, h, w_, cout, kh, kw, ho, wo) =
         (d.b, d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
-    gx.par_chunks_mut(cin * h * w_)
+    gx.chunks_mut(cin * h * w_)
         .enumerate()
         .for_each(|(bi, gxb)| {
             let gob = &gout[bi * cout * ho * wo..(bi + 1) * cout * ho * wo];
@@ -709,7 +703,7 @@ fn conv2d_backward_im2col(
         (d.b, d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let (rows, cols) = (cin * kh * kw, ho * wo);
     let wt = transpose2d(w, cout, rows);
-    gx.par_chunks_mut(cin * h * w_)
+    gx.chunks_mut(cin * h * w_)
         .enumerate()
         .for_each(|(bi, gxb)| {
             let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];

@@ -1,7 +1,5 @@
 //! Matrix multiplication: 2-D, batched 3-D, and 3-D × 2-D.
 
-use rayon::prelude::*;
-
 use crate::arena;
 use crate::plan;
 use crate::simd;
@@ -28,24 +26,10 @@ pub(crate) fn mm_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     }
 }
 
-/// `a (m×k) · b (k×n)` with rows parallelized when large.
+/// `a (m×k) · b (k×n)` into a fresh arena-backed buffer.
 pub(crate) fn mm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = arena::zeroed(m * n);
-    if m * n * k >= 1 << 16 && m > 1 {
-        c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-            for p in 0..k {
-                let av = a[i * k + p];
-                // aimts-lint: allow(A004, exact-zero skip: sparsity fast path, any nonzero must multiply)
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                simd::axpy(crow, av, brow);
-            }
-        });
-    } else {
-        mm_acc(&mut c, a, b, m, k, n);
-    }
+    mm_acc(&mut c, a, b, m, k, n);
     c
 }
 
@@ -125,18 +109,16 @@ impl Tensor {
         let (ad_ref, bd_ref) = read_pair(self, other);
         let (ad, bd): (&[f32], &[f32]) = (&ad_ref, &bd_ref);
         let mut out = arena::zeroed(bsz * m * n);
-        out.par_chunks_mut(m * n)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                mm_acc(
-                    chunk,
-                    &ad[bi * m * k..(bi + 1) * m * k],
-                    &bd[bi * k * n..(bi + 1) * k * n],
-                    m,
-                    k,
-                    n,
-                );
-            });
+        out.chunks_mut(m * n).enumerate().for_each(|(bi, chunk)| {
+            mm_acc(
+                chunk,
+                &ad[bi * m * k..(bi + 1) * m * k],
+                &bd[bi * k * n..(bi + 1) * k * n],
+                m,
+                k,
+                n,
+            );
+        });
         drop((ad_ref, bd_ref));
         let t = Tensor::from_op(
             out,
@@ -169,18 +151,16 @@ impl Tensor {
                 let (ad_ref, bd_ref) = read_pair(&ps[0], &ps[1]);
                 let (ad, bd): (&[f32], &[f32]) = (&ad_ref, &bd_ref);
                 let mut out = arena::zeroed(bsz * m * n);
-                out.par_chunks_mut(m * n)
-                    .enumerate()
-                    .for_each(|(bi, chunk)| {
-                        mm_acc(
-                            chunk,
-                            &ad[bi * m * k..(bi + 1) * m * k],
-                            &bd[bi * k * n..(bi + 1) * k * n],
-                            m,
-                            k,
-                            n,
-                        );
-                    });
+                out.chunks_mut(m * n).enumerate().for_each(|(bi, chunk)| {
+                    mm_acc(
+                        chunk,
+                        &ad[bi * m * k..(bi + 1) * m * k],
+                        &bd[bi * k * n..(bi + 1) * k * n],
+                        m,
+                        k,
+                        n,
+                    );
+                });
                 out
             },
         );

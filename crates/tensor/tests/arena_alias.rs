@@ -8,6 +8,7 @@
 //! the same contract on tensor data; the `#[cfg(debug_assertions)]` tests
 //! prove it actually fires through the public `Tensor` API.
 
+use aimts_tensor::ops::Conv1dSpec;
 use aimts_tensor::{arena, Tensor};
 
 fn grad_bits(t: &Tensor) -> Vec<u32> {
@@ -87,6 +88,51 @@ fn reset_spares_live_buffers() {
     arena::reset();
     assert_eq!(g1, grad_bits(&w));
     assert_eq!(d1, w.data_bits());
+}
+
+/// Conv kernels run on the calling thread, so their per-batch-element
+/// scratch comes from the caller's pool. The shape is large enough to
+/// have been split across threads by a parallel kernel. Once one training
+/// step has warmed the pool, a repeat step takes every buffer from it:
+/// forward's im2col columns, then backward's gradient columns and
+/// transposed columns (one each per batch element).
+#[test]
+fn conv_scratch_comes_from_the_callers_arena() {
+    const BATCH: u64 = 160;
+    let _scope = arena::enable();
+    let x = Tensor::randn(&[BATCH as usize, 16, 64], 11).requires_grad();
+    let w = Tensor::randn(&[16, 16, 3], 12).requires_grad();
+    let bias = Tensor::randn(&[16], 13).requires_grad();
+    let spec = Conv1dSpec {
+        stride: 1,
+        padding: 1,
+        dilation: 1,
+    };
+    let step = || {
+        let s0 = arena::stats();
+        let loss = x.conv1d(&w, Some(&bias), spec).sum_all();
+        let s1 = arena::stats();
+        loss.backward();
+        drop(loss);
+        for p in [&x, &w, &bias] {
+            p.zero_grad();
+        }
+        (s0, s1, arena::stats())
+    };
+    step();
+    let (s0, s1, s2) = step();
+    assert!(
+        s1.hits - s0.hits >= BATCH,
+        "forward: one pooled im2col column per batch element: {s0:?} -> {s1:?}"
+    );
+    assert!(
+        s2.hits - s1.hits >= 2 * BATCH,
+        "backward: pooled gradient and transposed columns per batch element: {s1:?} -> {s2:?}"
+    );
+    assert_eq!(
+        s2.misses, s0.misses,
+        "a warmed step must not fall through to the allocator: {s0:?} -> {s2:?}"
+    );
 }
 
 /// The debug aliasing tally fires through the public API: mutating a hot
